@@ -573,7 +573,7 @@ class RSQPAccelerator:
                     prev_worst = worst
         self._run_program(self._epilogue_program)
 
-        stats = machine.stats
+        stats = machine.stats.snapshot()
         x = self.scaling.unscale_x(machine.read_hbm("x"))
         y = self.scaling.unscale_y(machine.read_hbm("y"))
         z = self.scaling.unscale_z(machine.read_hbm("z"))

@@ -164,6 +164,12 @@ _ENGINE_FALLBACK_ARGS = ["-O3", "-ffp-contract=off"]
 
 _state: dict[str, Any] = {"probed": False, "engine": None}
 
+#: Modules already loaded by this process, keyed by their final cache
+#: path (which folds in the source, flags, libraries, kernel/codegen
+#: digest and cache directory): a repeat call skips the directory scan
+#: and the re-exec of the shared object.
+_loaded: dict[str, Any] = {}
+
 
 def cache_dir() -> str:
     """Directory holding compiled kernel modules, keyed by source hash."""
@@ -190,7 +196,8 @@ def compile_module(cdef: str, source: str, tag: str = "k",
     link libraries (e.g. ``("m",)`` for libm). The cache key covers the
     source, the flags, the libraries, and the kernel/codegen version
     fingerprint, so a stale ``.so`` is never reused across kernel-body
-    or codegen-contract changes.
+    or codegen-contract changes. Each module loads once per process;
+    later calls return the loaded module.
     """
     if not _jit_enabled():
         return None
@@ -206,6 +213,9 @@ def compile_module(cdef: str, source: str, tag: str = "k",
     name = f"_repro_{tag}_{digest[:16]}"
     root = cache_dir()
     final = os.path.join(root, name)
+    module = _loaded.get(final)
+    if module is not None:
+        return module
     try:
         module = _load(name, final)
         if module is not None:
@@ -241,6 +251,7 @@ def _load(name: str, moddir: str) -> Any:
                 return None
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
+            _loaded[moddir] = module
             return module
     return None
 

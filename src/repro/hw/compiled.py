@@ -162,16 +162,23 @@ class _Segment:
     pending execution counter accrues and the executor applies the
     total with one ``charge_block`` per :meth:`CompiledExecutor.run`
     (stats are only observed between runs, never mid-program).
+
+    A ``hooked`` segment belongs to the executor's hook-bearing tree:
+    its closures fire the fault hooks of whichever injector is armed
+    when they run, and it never fuses chunks (a fused C call has no
+    per-op hook points). The plain tree carries no hooks at all.
     """
 
     __slots__ = ("_executor", "_instructions", "_stats", "_fns",
-                 "_cycles", "_by_class", "_count", "pending")
+                 "_hooked", "_cycles", "_by_class", "_count", "pending")
 
-    def __init__(self, executor: "CompiledExecutor", instructions: list):
+    def __init__(self, executor: "CompiledExecutor", instructions: list,
+                 hooked: bool):
         self._executor = executor
         self._instructions = instructions
         self._stats = executor.machine.stats
         self._fns = None
+        self._hooked = hooked
         self.pending = 0
 
     def run(self) -> None:
@@ -209,16 +216,13 @@ class _Segment:
             kind = type(instr).__name__
             cycles = instr.cycles(machine)
             stats.charge(kind, cycles)
-            fn = executor._lower_instruction(instr)
+            fn = executor._lower_instruction(instr, self._hooked)
             fn()
             fns.append(fn)
             total += cycles
             by_class[kind] = by_class.get(kind, 0) + cycles
         self._count = len(fns)
-        # Chunk fusion collapses many ops into one C call with no
-        # per-op hook points, so an armed fault injector keeps the
-        # unfused closures (which share the same bits anyway).
-        if executor.jit and machine.injector is None:
+        if executor.jit and not self._hooked:
             fns = _fuse_chunks(executor, self._instructions, fns)
         self._fns = fns
         self._cycles = total
@@ -258,28 +262,31 @@ class _LoopNode:
     list in fresh Loop objects per adaptive-rho segment).
 
     Once the body's segments are all bound (i.e. after the first full
-    execution), the executor attempts *whole-loop fusion*: one
+    execution), a plain-tree loop attempts *whole-loop fusion*: one
     generated C function covering the entire loop — vector ops, SpMV,
     scalar arithmetic, Control tests, nested loops and cycle
-    accounting — entered once per :meth:`run`. Fusion is bypassed
-    whenever a fault injector is armed (hooks fire on the node path)
-    and falls back permanently on any unsupported body."""
+    accounting — entered once per :meth:`run`. A hooked-tree loop
+    never fuses (its hooks fire on the node path), and fusion falls
+    back permanently on any unsupported body."""
 
-    __slots__ = ("_executor", "_loop", "_nodes", "_stats", "_fused")
+    __slots__ = ("_executor", "_loop", "_nodes", "_stats", "_fusable",
+                 "_fused")
 
-    def __init__(self, executor: "CompiledExecutor", loop: Loop):
+    def __init__(self, executor: "CompiledExecutor", loop: Loop,
+                 hooked: bool):
         self._executor = executor
         self._loop = loop
-        self._nodes = executor._lower_block(loop.body)
+        self._nodes = executor._lower_block(loop.body, hooked)
         self._stats = executor.machine.stats
+        self._fusable = executor.jit and not hooked
         self._fused = None
 
     def run(self) -> None:
-        executor = self._executor
-        if executor.jit and executor.machine.injector is None:
+        if self._fusable:
             fused = self._fused
             if fused is None:
-                fused = executor._fuse_loop(self._loop.body, self._nodes)
+                fused = self._executor._fuse_loop(self._loop.body,
+                                                  self._nodes)
                 if fused is not None:
                     self._fused = fused
             if fused and fused.run(self._loop):
@@ -324,12 +331,20 @@ class CompiledExecutor:
     which is exactly what makes per-solve reuse pay; a strong reference
     to the keyed list is kept so ``id()`` reuse after garbage
     collection can never alias two different programs.
+
+    Each program lowers into one of two trees, chosen per :meth:`run`
+    by whether the machine has a fault injector armed: the plain tree
+    (no hooks; chunk and whole-loop fusion) or the hook-bearing tree
+    (every hook site calls the injector armed for the current run).
+    One executor can therefore serve clean and injected runs in any
+    order, and the fault-free path carries no hook checks.
     """
 
     def __init__(self, machine: Machine, jit: bool | None = None,
                  verify: bool | None = None):
         self.machine = machine
         self._blocks: dict = {}
+        self._hooked_blocks: dict = {}
         self._loop_fused: dict = {}
         self._dirty: list = []
         if jit is None:
@@ -348,8 +363,9 @@ class CompiledExecutor:
     # -- execution -------------------------------------------------------
     def run(self, program: Program):
         """Execute ``program``; returns the machine's stats object."""
+        hooked = self.machine.injector is not None
         try:
-            for node in self._lower_block(program.instructions):
+            for node in self._lower_block(program.instructions, hooked):
                 node.run()
         finally:
             self._flush()
@@ -363,9 +379,10 @@ class CompiledExecutor:
                 node.flush()
             dirty.clear()
 
-    def _lower_block(self, items: list) -> list:
+    def _lower_block(self, items: list, hooked: bool) -> list:
+        blocks = self._hooked_blocks if hooked else self._blocks
         key = id(items)
-        cached = self._blocks.get(key)
+        cached = blocks.get(key)
         if cached is not None and cached[0] is items:
             return cached[1]
         nodes: list = []
@@ -373,19 +390,19 @@ class CompiledExecutor:
         for item in items:
             if isinstance(item, Loop):
                 if current:
-                    nodes.append(_Segment(self, current))
+                    nodes.append(_Segment(self, current, hooked))
                     current = []
-                nodes.append(_LoopNode(self, item))
+                nodes.append(_LoopNode(self, item, hooked))
             elif isinstance(item, Control):
                 if current:
-                    nodes.append(_Segment(self, current))
+                    nodes.append(_Segment(self, current, hooked))
                     current = []
                 nodes.append(_ControlNode(self, item))
             else:
                 current.append(item)
         if current:
-            nodes.append(_Segment(self, current))
-        self._blocks[key] = (items, nodes)
+            nodes.append(_Segment(self, current, hooked))
+        blocks[key] = (items, nodes)
         return nodes
 
     def _fuse_loop(self, body: list, nodes: list):
@@ -456,34 +473,36 @@ class CompiledExecutor:
         return lambda: value
 
     # -- per-instruction lowering ---------------------------------------
-    def _lower_instruction(self, instr):
+    def _lower_instruction(self, instr, hooked: bool = False):
         if isinstance(instr, ScalarOp):
             return self._lower_scalar(instr)
         if isinstance(instr, VectorOp):
             return self._lower_vector(instr)
         if isinstance(instr, DataTransfer):
-            return self._lower_transfer(instr)
+            return self._lower_transfer(instr, hooked)
         if isinstance(instr, VecDup):
-            return self._lower_vecdup(instr)
+            return self._lower_vecdup(instr, hooked)
         if isinstance(instr, SpMV):
-            return self._lower_spmv(instr)
+            return self._lower_spmv(instr, hooked)
         raise SimulationError(f"unknown instruction {instr!r}")
 
-    def _hooked(self, fn, hook_name: str, site: str, buf: np.ndarray):
-        """Wrap a closure with the machine's fault-injection hook.
+    def _hooked(self, fn, hooked: bool, hook_name: str, site: str,
+                buf: np.ndarray):
+        """Wrap a hook-tree closure with the fault-injection hook.
 
-        Bound at lowering time (injectors are armed before the first
-        execution) so the fault-free path pays nothing.
+        The injector is read when the closure runs, not when it is
+        lowered, so a resident accelerator re-armed for a later
+        attempt fires that attempt's injector. Hook-tree closures only
+        run while an injector is armed; plain-tree ones are unwrapped.
         """
-        injector = self.machine.injector
-        if injector is None:
+        if not hooked:
             return fn
-        hook = getattr(injector, hook_name)
+        machine = self.machine
 
-        def hooked():
+        def run_hooked():
             fn()
-            hook(site, buf)
-        return hooked
+            getattr(machine.injector, hook_name)(site, buf)
+        return run_hooked
 
     def _lower_scalar(self, instr: ScalarOp):
         if instr.op in BINARY_SCALAR_OPS and instr.src2 is None:
@@ -669,7 +688,7 @@ class CompiledExecutor:
             return fn
         raise SimulationError(f"unknown vector op {kind}")
 
-    def _lower_transfer(self, instr: DataTransfer):
+    def _lower_transfer(self, instr: DataTransfer, hooked: bool):
         machine = self.machine
         name = instr.name
         if instr.direction == "load":
@@ -688,7 +707,7 @@ class CompiledExecutor:
                         f"HBM vector {name!r} changed from {dst.size} "
                         f"to {src.size} elements")
                 np.copyto(dst, src)
-            return self._hooked(fn, "on_load", name, dst)
+            return self._hooked(fn, hooked, "on_load", name, dst)
         if instr.direction == "store":
             vec = self._resident(name)
             hbm = machine.hbm
@@ -698,16 +717,16 @@ class CompiledExecutor:
             return fn
         raise SimulationError(f"bad transfer direction {instr.direction!r}")
 
-    def _lower_vecdup(self, instr: VecDup):
+    def _lower_vecdup(self, instr: VecDup, hooked: bool):
         machine = self.machine
         src = self._resident(instr.src)
         dst = self._dst_buffer(machine.cvb, instr.cvb, src.size)
 
         def fn():
             np.copyto(dst, src)
-        return self._hooked(fn, "on_cvb", instr.cvb, dst)
+        return self._hooked(fn, hooked, "on_cvb", instr.cvb, dst)
 
-    def _lower_spmv(self, instr: SpMV):
+    def _lower_spmv(self, instr: SpMV, hooked: bool):
         machine = self.machine
         resource = machine.matrices[instr.matrix]
         src = machine.cvb.get(instr.src)
@@ -731,14 +750,14 @@ class CompiledExecutor:
 
             def fn(_hold=(src, dst)):
                 ckernel(pv, pc, pi, px, py, rows)
-            return self._hooked(fn, "on_spmv", instr.dst, dst)
+            return self._hooked(fn, hooked, "on_spmv", instr.dst, dst)
         dense = resource.dense
         if dense is not None:
             # Same BLAS gemv the interpreter's resource.apply() calls,
             # writing into the preallocated destination buffer.
             def fn():
                 np.dot(dense, src, out=dst)
-            return self._hooked(fn, "on_spmv", instr.dst, dst)
+            return self._hooked(fn, hooked, "on_spmv", instr.dst, dst)
         # Inline CSRMatrix.matvec with preallocated scratch: the same
         # gather -> multiply -> cumsum -> endpoint-difference sequence
         # (bit-identical to the interpreter's matvec call), minus the
@@ -751,7 +770,7 @@ class CompiledExecutor:
         if nnz == 0:
             def fn():
                 dst[:] = 0.0
-            return self._hooked(fn, "on_spmv", instr.dst, dst)
+            return self._hooked(fn, hooked, "on_spmv", instr.dst, dst)
         products = np.empty(nnz)
         running = np.zeros(nnz + 1)
         run_view = running[1:]
@@ -760,7 +779,7 @@ class CompiledExecutor:
             np.multiply(data, src[indices], out=products)
             np.copyto(run_view, products.cumsum())
             np.subtract(running[ip1], running[ip0], out=dst)
-        return self._hooked(fn, "on_spmv", instr.dst, dst)
+        return self._hooked(fn, hooked, "on_spmv", instr.dst, dst)
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,12 @@ class ExecutionStats:
             bc[kind] = bc.get(kind, 0) + kind_cycles
         self.instructions_executed += instructions
 
+    def snapshot(self) -> "ExecutionStats":
+        """An independent copy, for results that outlive the next run."""
+        return ExecutionStats(self.total_cycles, dict(self.by_class),
+                              self.instructions_executed,
+                              dict(self.loop_iterations))
+
     def reset(self) -> None:
         """Zero the accounting in place.
 

@@ -44,6 +44,11 @@ __all__ = ["ArchArtifact", "ArchCache", "CacheStats", "PersistedSpec",
 
 _PERSIST_VERSION = 1
 
+#: Idle accelerators an artifact keeps per constructor key: one per
+#: worker of the default two-worker pool. More concurrent requests
+#: construct their own; the surplus is dropped at check-in.
+RESIDENTS_PER_KEY = 2
+
 log = logging.getLogger(__name__)
 
 
@@ -71,6 +76,14 @@ class ArchArtifact:
     #: ``--codegen`` CLI) after the generated-C tier's static lift
     #: passes; one accept covers every batch bound to this artifact.
     codegen_verified: bool = field(default=False, compare=False)
+    #: Idle bound accelerators (see :func:`repro.serving.pool.solve_job`),
+    #: keyed by their constructor arguments besides the problem. Local
+    #: to this process: never pickled, dropped with the artifact.
+    _residents: dict = field(default_factory=dict, init=False,
+                             repr=False, compare=False)
+    _resident_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False,
+        compare=False)
 
     @property
     def architecture_string(self) -> str:
@@ -79,6 +92,46 @@ class ArchArtifact:
     @property
     def build_seconds(self) -> float:
         return self.customize_seconds + self.compile_seconds
+
+    # -- resident accelerators -------------------------------------------
+    def check_out(self, key):
+        """Take an idle accelerator bound with ``key``, or None.
+
+        A checked-out accelerator belongs to its caller alone until it
+        is checked back in, so no accelerator serves two requests at
+        once.
+        """
+        with self._resident_lock:
+            idle = self._residents.get(key)
+            return idle.pop() if idle else None
+
+    def check_in(self, key, resident) -> None:
+        """Return an accelerator to the idle list; beyond
+        :data:`RESIDENTS_PER_KEY` idle ones it is dropped."""
+        with self._resident_lock:
+            idle = self._residents.setdefault(key, [])
+            if len(idle) < RESIDENTS_PER_KEY:
+                idle.append(resident)
+
+    def drop_residents(self) -> None:
+        """Release every idle accelerator."""
+        with self._resident_lock:
+            self._residents.clear()
+
+    def resident_count(self) -> int:
+        """Idle accelerators held, over all keys."""
+        with self._resident_lock:
+            return sum(len(idle) for idle in self._residents.values())
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_residents"], state["_resident_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._residents = {}
+        self._resident_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -258,7 +311,8 @@ class ArchCache:
             self._entries[key] = artifact
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+                _, evicted = self._entries.popitem(last=False)
+                evicted.drop_residents()
                 self._evictions += 1
             self._specs[key] = PersistedSpec(
                 key=key, c=artifact.c,
@@ -288,7 +342,11 @@ class ArchCache:
         rebuild still skips the architecture search. Returns whether
         an entry was present."""
         with self._lock:
-            return self._entries.pop(key, None) is not None
+            artifact = self._entries.pop(key, None)
+        if artifact is None:
+            return False
+        artifact.drop_residents()
+        return True
 
     def get_or_build(self, key: str, builder) -> tuple[ArchArtifact, bool]:
         """Return ``(artifact, was_hit)``; concurrent misses build once.

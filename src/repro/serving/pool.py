@@ -2,10 +2,13 @@
 
 A *solve job* is the warm path of the serving layer: take a frozen
 :class:`~repro.serving.arch_cache.ArchArtifact` plus one concrete
-problem instance, construct a simulated accelerator around the cached
-customization and compiled program (host scaling, rho selection, HBM
-download — no search, no scheduling, no compilation), optionally warm
-start, and run.
+problem instance, bind a simulated accelerator around the cached
+customization and compiled program, optionally warm start, and run.
+Bound accelerators stay *resident* on the artifact between requests:
+a hit only refreshes the numeric data (host scaling, rho selection,
+HBM download — no construction, no lowering, no codegen) on an idle
+accelerator; only the first request of a structure, or one that finds
+every resident busy, constructs a new one.
 
 Execution modes:
 
@@ -16,7 +19,8 @@ Execution modes:
     A :class:`~concurrent.futures.ProcessPoolExecutor`; each job ships
     ``(problem, artifact)`` to a worker process — higher per-job cost,
     true parallelism for CPU-bound Python portions. Jobs must be
-    module-level functions (ours are).
+    module-level functions (ours are). Residents never cross the
+    process boundary, so every process-mode job constructs its own.
 ``serial``
     Run the job in the caller immediately and return an
     already-resolved future: deterministic, used by the tests.
@@ -24,6 +28,7 @@ Execution modes:
 
 from __future__ import annotations
 
+import copy
 from concurrent.futures import (Future, ProcessPoolExecutor,
                                 ThreadPoolExecutor)
 
@@ -32,9 +37,71 @@ from ..qp import QProblem
 from ..solver import OSQPSettings
 from .arch_cache import ArchArtifact
 
-__all__ = ["WorkerPool", "solve_job", "reference_job"]
+__all__ = ["WorkerPool", "Resident", "bind_resident", "solve_job",
+           "reference_job"]
 
 _MODES = ("thread", "process", "serial")
+
+
+class Resident:
+    """A bound accelerator checked out of an artifact.
+
+    ``stale`` is set once a run has overwritten the downloaded HBM data
+    and cleared by every numeric (re)download; ``failed`` marks an
+    accelerator whose attempt raised, which is never checked back in.
+    """
+
+    __slots__ = ("key", "accelerator", "stale", "failed")
+
+    def __init__(self, key, accelerator):
+        self.key = key
+        self.accelerator = accelerator
+        self.stale = False
+        self.failed = False
+
+
+def bind_resident(problem: QProblem, artifact: ArchArtifact,
+                  settings: OSQPSettings, pcg_eps: float = 1e-7,
+                  backend: str = "compiled") -> Resident:
+    """Check out an idle accelerator bound to ``problem``'s numbers.
+
+    The idle list is keyed by everything the constructor takes besides
+    the problem (the algorithm is the artifact's own). An idle
+    accelerator is refreshed exactly as a fresh setup would bind it
+    (cold rho / omega); with none idle, a new one is constructed.
+    Either way the caller owns it until :meth:`ArchArtifact.check_in`.
+    A refresh that raises (a problem of another structure) drops the
+    accelerator with the exception.
+    """
+    key = (backend, pcg_eps, repr(settings))
+    resident = artifact.check_out(key)
+    pdqp = getattr(artifact, "algorithm", "admm") == "pdqp"
+    if resident is not None:
+        if pdqp:
+            resident.accelerator.refresh_numeric(problem, carry_omega=False)
+        else:
+            resident.accelerator.refresh_numeric(problem, carry_rho=False)
+        resident.stale = False
+        return resident
+    # The artifact-level verification subsumes the accelerator's per-
+    # construction program walk (and is memoized), so skip the latter.
+    # The accelerator keeps its own settings copy, so a caller mutating
+    # theirs never reaches an idle accelerator filed under the old key.
+    settings = copy.copy(settings)
+    if pdqp:
+        from ..hw.pdqp import PDQPAccelerator
+        from ..solver.algorithms import get_algorithm
+        accelerator = PDQPAccelerator(
+            problem, customization=artifact.customization,
+            settings=get_algorithm("pdqp").coerce_settings(settings),
+            compiled=artifact.compiled, backend=backend, verify=False)
+    else:
+        accelerator = RSQPAccelerator(
+            problem, customization=artifact.customization,
+            settings=settings, pcg_eps=pcg_eps,
+            max_pcg_iter=artifact.max_pcg_iter,
+            compiled=artifact.compiled, backend=backend, verify=False)
+    return Resident(key, accelerator)
 
 
 def solve_job(problem: QProblem, artifact: ArchArtifact,
@@ -45,15 +112,20 @@ def solve_job(problem: QProblem, artifact: ArchArtifact,
               verify: bool = True,
               injector=None,
               recovery=None,
-              deadline_seconds: float | None = None) -> RSQPResult:
+              deadline_seconds: float | None = None,
+              resident: Resident | None = None) -> RSQPResult:
     """Bind a cached artifact to ``problem`` and run the accelerator.
 
-    Module-level so process pools can pickle it. The injected compiled
-    program is validated against the problem inside the accelerator —
-    a structure mismatch (wrong artifact for this problem) raises
-    rather than silently mis-costing. ``backend`` selects the program
-    execution backend (``"interpret"`` or ``"compiled"``), orthogonal
-    to the artifact's precompiled *program*.
+    Module-level so process pools can pickle it. The accelerator is
+    checked out of the artifact's idle list (:func:`bind_resident`) and
+    checked back in after a successful run; an attempt that raises
+    drops it. A ``resident`` the caller already holds (a session's
+    pinned accelerator, bound to ``problem``) runs as is and stays
+    with the caller. A structure mismatch (wrong artifact for this
+    problem) raises rather than silently mis-costing. ``backend``
+    selects the program execution backend (``"interpret"`` or
+    ``"compiled"``), orthogonal to the artifact's precompiled
+    *program*.
 
     With ``verify`` (default), the artifact passes the static
     verification suite (:mod:`repro.verify`) before any solve touches
@@ -64,38 +136,45 @@ def solve_job(problem: QProblem, artifact: ArchArtifact,
 
     ``injector`` / ``recovery`` / ``deadline_seconds`` arm fault
     injection, checkpoint/rollback recovery and a cooperative per-job
-    deadline on the accelerator (see :mod:`repro.faults`); the
-    deadline raises :class:`~repro.exceptions.DeadlineExceededError`
-    between ADMM segments rather than killing the worker.
+    deadline on the accelerator for this run only (see
+    :mod:`repro.faults`); the deadline raises
+    :class:`~repro.exceptions.DeadlineExceededError` between ADMM
+    segments rather than killing the worker.
     """
     if verify:
         from ..verify import ensure_artifact_verified
         ensure_artifact_verified(
             artifact, context=f"solve_job({artifact.fingerprint.key})")
-    # The artifact-level check subsumes the accelerator's per-
-    # construction program walk (and is memoized), so skip the latter.
-    if getattr(artifact, "algorithm", "admm") == "pdqp":
-        from ..hw.pdqp import PDQPAccelerator
-        from ..solver.algorithms import get_algorithm
-        pdqp_settings = get_algorithm("pdqp").coerce_settings(settings)
-        accelerator = PDQPAccelerator(
-            problem, customization=artifact.customization,
-            settings=pdqp_settings, compiled=artifact.compiled,
-            backend=backend, verify=False,
-            fault_injector=injector, recovery=recovery,
-            deadline_seconds=deadline_seconds)
-    else:
-        accelerator = RSQPAccelerator(
-            problem, customization=artifact.customization,
-            settings=settings, pcg_eps=pcg_eps,
-            max_pcg_iter=artifact.max_pcg_iter,
-            compiled=artifact.compiled, backend=backend, verify=False,
-            fault_injector=injector, recovery=recovery,
-            deadline_seconds=deadline_seconds)
-    if warm_start is not None:
-        x0, y0 = warm_start
-        accelerator.warm_start(x=x0, y=y0)
-    return accelerator.run()
+    pinned = resident is not None
+    if not pinned:
+        resident = bind_resident(problem, artifact, settings, pcg_eps,
+                                 backend)
+    # A stats reset plus, after an earlier run, a re-download restore
+    # the exact fresh-accelerator preconditions, so a re-run is bitwise
+    # the run a new accelerator would make — faults included.
+    accelerator = resident.accelerator
+    machine = accelerator.machine
+    machine.stats.reset()
+    if resident.stale:
+        accelerator._download()
+    resident.stale = True
+    accelerator.fault_injector = machine.injector = injector
+    accelerator.recovery = recovery
+    accelerator.deadline_seconds = deadline_seconds
+    try:
+        if warm_start is not None:
+            x0, y0 = warm_start
+            accelerator.warm_start(x=x0, y=y0)
+        raw = accelerator.run()
+    except BaseException:
+        resident.failed = True
+        raise
+    finally:
+        accelerator.fault_injector = machine.injector = None
+        accelerator.recovery = accelerator.deadline_seconds = None
+    if not pinned:
+        artifact.check_in(resident.key, resident)
+    return raw
 
 
 def reference_job(problem: QProblem, settings: OSQPSettings,

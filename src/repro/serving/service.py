@@ -53,6 +53,14 @@ TIER_BUILD = "build"      # full customization flow ran
 TIER_FALLBACK = "fallback"  # reference solver answered a cold request
 
 
+def answer_accounting(raw, reference: bool) -> tuple:
+    """``(backend, simulated cycles, simulated seconds)`` of an answer;
+    a reference-solver answer ran on no simulated hardware."""
+    if reference:
+        return "reference", 0, 0.0
+    return "rsqp", raw.total_cycles, raw.solve_seconds
+
+
 @dataclass
 class ServeRecord:
     """Accounting for one request, kept for reports and benchmarks."""
@@ -223,6 +231,11 @@ class SolverService:
     def width_for(self, problem: QProblem) -> int:
         return self.c if self.c is not None else choose_width(problem.nnz)
 
+    def algorithm_for(self, problem: QProblem) -> str:
+        """The algorithm this service runs ``problem`` on."""
+        return choose_algorithm(problem, override=None if self.algorithm
+                                == "auto" else self.algorithm)
+
     def cache_key(self, fingerprint: StructureFingerprint, c: int,
                   algorithm: str = "admm") -> str:
         """Structure key + the build parameters baked into an artifact.
@@ -307,9 +320,7 @@ class SolverService:
         from .session import SolverSession
         c = self.width_for(problem)
         fingerprint = fingerprint_problem(problem, c=c)
-        algorithm = choose_algorithm(
-            problem, override=None if self.algorithm == "auto"
-            else self.algorithm)
+        algorithm = self.algorithm_for(problem)
         artifact, tier = self._ensure_artifact(problem, fingerprint, c,
                                                algorithm)
         self.metrics.counter("serving_session_opened_total").inc()
@@ -334,17 +345,13 @@ class SolverService:
             raise ValueError("a batch session needs at least one lane")
         c = self.width_for(problems[0])
         fingerprint = fingerprint_problem(problems[0], c=c)
-        algorithm = choose_algorithm(
-            problems[0], override=None if self.algorithm == "auto"
-            else self.algorithm)
+        algorithm = self.algorithm_for(problems[0])
         key = self.cache_key(fingerprint, c, algorithm)
         for idx, other in enumerate(problems[1:], start=1):
             c_other = self.width_for(other)
             other_key = self.cache_key(
                 fingerprint_problem(other, c=c_other), c_other,
-                choose_algorithm(
-                    other, override=None if self.algorithm == "auto"
-                    else self.algorithm))
+                self.algorithm_for(other))
             if other_key != key:
                 raise ValueError(
                     f"lane {idx} has a different structure/width/"
@@ -409,11 +416,19 @@ class SolverService:
               timeout: float | None = None,
               deadline: float | None = None,
               request_id: int | None = None) -> ServeResult:
-        """Synchronous convenience: submit + result."""
-        return self.result(self.submit(problem, warm_start=warm_start,
-                                       deadline=deadline,
-                                       request_id=request_id),
-                           timeout=timeout)
+        """Synchronous convenience: submit + result.
+
+        The answer goes to the caller alone: once it is returned the
+        service drops the request's future (:meth:`result` is for
+        :meth:`submit`), so a long-lived service does not keep every
+        synchronous answer alive.
+        """
+        request_id = self.submit(problem, warm_start=warm_start,
+                                 deadline=deadline, request_id=request_id)
+        result = self.result(request_id, timeout=timeout)
+        with self._lock:
+            del self._futures[request_id]
+        return result
 
     def solve_batch(self, problems, *, warm_starts=None,
                     deadlines=None, timeout: float | None = None,
@@ -485,9 +500,7 @@ class SolverService:
             t_fp = time.perf_counter()
             c = self.width_for(problem)
             fingerprint = fingerprint_problem(problem, c=c)
-            algorithm = choose_algorithm(
-                problem, override=None if self.algorithm == "auto"
-                else self.algorithm)
+            algorithm = self.algorithm_for(problem)
             key = self.cache_key(fingerprint, c, algorithm)
             lane["fingerprint"] = fingerprint
             lane["c"] = c
@@ -650,9 +663,7 @@ class SolverService:
         c = self.width_for(problem)
         fingerprint = fingerprint_problem(problem, c=c)
         self.metrics.counter("serving_requests_total").inc()
-        algorithm = choose_algorithm(
-            problem, override=None if self.algorithm == "auto"
-            else self.algorithm)
+        algorithm = self.algorithm_for(problem)
         self.metrics.counter("serving_algo_selected_total").inc()
         self.metrics.counter(
             f"serving_algo_selected_{algorithm}_total").inc()
@@ -682,12 +693,6 @@ class SolverService:
         if tier == TIER_FALLBACK:
             self.metrics.counter("serving_fallback_solves_total").inc()
             raw = self._run_reference(problem, warm_start, algorithm)
-            backend = "reference"
-            converged = raw.status.is_optimal
-            x, y, z = raw.x, raw.y, raw.z
-            simulated_cycles = 0
-            simulated_seconds = 0.0
-            admm_iterations = raw.info.iterations
             architecture = ""
         else:
             self.metrics.counter(
@@ -696,21 +701,11 @@ class SolverService:
             raw, resil = self._solve_resilient(
                 request_id, problem, artifact, warm_start, deadline_at,
                 resil)
-            if resil["degraded"]:
-                backend = "reference"
-                converged = raw.status.is_optimal
-                x, y, z = raw.x, raw.y, raw.z
-                simulated_cycles = 0
-                simulated_seconds = 0.0
-                admm_iterations = raw.info.iterations
-            else:
-                backend = "rsqp"
-                converged = raw.converged
-                x, y, z = raw.x, raw.y, raw.z
-                simulated_cycles = raw.total_cycles
-                simulated_seconds = raw.solve_seconds
-                admm_iterations = raw.admm_iterations
             architecture = artifact.architecture_string
+        backend, simulated_cycles, simulated_seconds = answer_accounting(
+            raw, tier == TIER_FALLBACK or resil["degraded"])
+        converged = raw.converged
+        admm_iterations = raw.iterations
         t_done = time.perf_counter()
 
         record = ServeRecord(
@@ -754,7 +749,7 @@ class SolverService:
                 simulated_cycles)
         if not converged:
             self.metrics.counter("serving_unconverged_total").inc()
-        return ServeResult(x=x, y=y, z=z, converged=converged,
+        return ServeResult(x=raw.x, y=raw.y, z=raw.z, converged=converged,
                            backend=backend, record=record, raw=raw)
 
     def _apply_poisons(self, request_id: int, key: str) -> int:
@@ -779,7 +774,7 @@ class SolverService:
         return fired
 
     def _solve_resilient(self, request_id, problem, artifact, warm_start,
-                         deadline_at, resil):
+                         deadline_at, resil, resident=None):
         """Accelerator attempts with retry/backoff, then degradation.
 
         Returns ``(raw, resil)`` where ``raw`` is an
@@ -790,9 +785,11 @@ class SolverService:
         injected faults is re-checked against the KKT conditions on
         the host, so a silently-corrupted answer is treated exactly
         like a crash — retried, then degraded — never returned.
+        Sessions run the same loop on their pinned ``resident``.
         """
         res = self.resilience
         plan = self.fault_plan
+        local = self._solve_pool is None or resident is not None
         attempt = 0
         last_exc: BaseException | None = None
         while attempt <= res.max_retries:
@@ -810,15 +807,15 @@ class SolverService:
             try:
                 raw = self._run_accelerator(
                     problem, artifact, warm_start, injector=injector,
-                    deadline_seconds=remaining)
+                    deadline_seconds=remaining, resident=resident)
             except DeadlineExceededError as exc:
                 last_exc = exc
-                self._count_injected(injector, exc, resil)
+                self._count_injected(injector, exc, resil, local=local)
                 self._record_deadline_miss(deadline_at, resil)
                 break  # no budget left for another attempt
             except (FaultDetectedError, SimulationError) as exc:
                 last_exc = exc
-                self._count_injected(injector, exc, resil)
+                self._count_injected(injector, exc, resil, local=local)
                 attempt += 1
                 if attempt > res.max_retries:
                     break
@@ -831,7 +828,8 @@ class SolverService:
                 if delay > 0:
                     time.sleep(delay)
                 continue
-            self._count_injected(injector, None, resil, raw=raw)
+            self._count_injected(injector, None, resil, raw=raw,
+                                 local=local)
             resil["rollbacks"] += raw.rollbacks
             if raw.rollbacks:
                 self.metrics.counter(
@@ -870,16 +868,17 @@ class SolverService:
             problem, warm_start, getattr(artifact, "algorithm", "admm"))
         return raw, resil
 
-    def _count_injected(self, injector, exc, resil, raw=None) -> None:
+    def _count_injected(self, injector, exc, resil, raw=None,
+                        local=True) -> None:
         """Tally faults fired during one attempt, whatever its outcome.
 
-        In-process execution reads the injector's own event log; with a
-        process pool the injector object lives in the worker, so the
-        count rides back on the result (or the raised fault error).
+        A ``local`` (in-process) attempt reads the injector's own event
+        log; in a process-pool worker the injector object is a copy, so
+        the count rides back on the result (or the raised fault error).
         """
         if injector is None:
             return
-        if self._solve_pool is None:
+        if local:
             fired = len(injector.events)
         elif raw is not None:
             fired = len(raw.fault_events)
@@ -902,10 +901,12 @@ class SolverService:
             "serving_deadline_miss_seconds").observe(overrun)
 
     def _run_accelerator(self, problem, artifact, warm_start,
-                         injector=None, deadline_seconds=None):
+                         injector=None, deadline_seconds=None,
+                         resident=None):
         # _ensure_artifact already verified (and memoized) the
-        # artifact, so the job itself skips the re-check.
-        if self._solve_pool is not None:
+        # artifact, so the job itself skips the re-check. A pinned
+        # session resident lives in this process, so it runs here.
+        if self._solve_pool is not None and resident is None:
             return self._solve_pool.submit(
                 solve_job, problem, artifact, self.settings, warm_start,
                 self.pcg_eps, self.backend, False,
@@ -914,7 +915,8 @@ class SolverService:
         return solve_job(problem, artifact, self.settings, warm_start,
                          self.pcg_eps, self.backend, verify=False,
                          injector=injector,
-                         deadline_seconds=deadline_seconds)
+                         deadline_seconds=deadline_seconds,
+                         resident=resident)
 
     def _run_reference(self, problem, warm_start, algorithm="admm"):
         if self._solve_pool is not None:

@@ -2,26 +2,26 @@
 
 A :class:`SolverSession` binds *once* to one problem structure — the
 fingerprint is computed once, the cached artifact is verified once,
-the simulated accelerator (machine, matrix schedules, compiled
-programs, fused loop bodies) is constructed once — and then serves a
-stream of same-structure re-solves. Each :meth:`SolverSession.update`
-installs new numeric data **in place** (no re-fingerprint, no
-re-schedule, no re-verification; the sparsity pattern is enforced) and
-each :meth:`SolverSession.resolve` re-runs the resident accelerator,
-by default warm-started from the previous solution with the adapted
-penalty (rho for ADMM, the primal weight omega for PDQP) carried
-across solves.
+one resident accelerator of the artifact (machine, matrix schedules,
+compiled programs, fused loop bodies) is pinned for the session — and
+then serves a stream of same-structure re-solves. Each
+:meth:`SolverSession.update` installs new numeric data **in place**
+(no re-fingerprint, no re-schedule, no re-verification; the sparsity
+pattern is enforced) and each :meth:`SolverSession.resolve` re-runs
+the resident accelerator, by default warm-started from the previous
+solution with the adapted penalty (rho for ADMM, the primal weight
+omega for PDQP) carried across solves.
 
 This is the serving-layer face of the paper's amortization argument
 taken one level further: :class:`~repro.serving.service.SolverService`
-amortizes the *customization flow* across requests; a session also
-amortizes the *per-request host work* (fingerprint, cache lookup,
-machine construction, program lowering and binding) across re-solves,
-which is what MPC loops, SQP outer iterations and homotopy sweeps
-actually pay per step.
+amortizes the *customization flow* and the accelerator binding across
+requests; a session also skips the fingerprint and cache lookup a
+warm request still pays, which is what MPC loops, SQP outer iterations
+and homotopy sweeps actually pay per step.
 
 Sessions keep the service's operational guarantees: every resolve runs
-under the service's :class:`~repro.faults.ResiliencePolicy` (retry on
+the service's own resilience loop on the pinned accelerator under its
+:class:`~repro.faults.ResiliencePolicy` (retry on
 detected faults, host-side KKT re-check against silent corruption,
 cooperative deadlines, degradation to the reference solver), and every
 resolve is accounted in the service's records and metrics
@@ -40,12 +40,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..exceptions import (DeadlineExceededError, FaultDetectedError,
-                          ShapeError, SimulationError)
-from ..faults import solution_ok
+from ..exceptions import ShapeError
+from ..faults import solution_ok  # noqa: F401 - wrapped by perfbench spans
 from ..qp import QProblem
 from ..sparse import CSRMatrix
-from .service import ServeRecord, ServeResult
+from .pool import bind_resident
+from .service import ServeRecord, ServeResult, answer_accounting
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .service import SolverService
@@ -119,7 +119,9 @@ class SolverSession:
 
     Created by :meth:`SolverService.open_session`; not meant to be
     constructed directly. Thread-compatible, not thread-safe: one
-    session serves one control loop.
+    session serves one control loop. The session pins one resident
+    accelerator of its artifact (:func:`~repro.serving.pool.
+    bind_resident`) until :meth:`close` checks it back in.
 
     Parameters
     ----------
@@ -149,33 +151,11 @@ class SolverSession:
         self.updates = 0
         self.resolves = 0
         self._last: ServeResult | None = None
-        self._needs_download = False
-        self._closed = False
-        self._accelerator = self._build_accelerator()
-
-    # ------------------------------------------------------------------
-    def _build_accelerator(self):
-        service = self._service
-        artifact = self.artifact
-        if self.algorithm == "pdqp":
-            from ..hw.pdqp import PDQPAccelerator
-            from ..solver.algorithms import get_algorithm
-            settings = get_algorithm("pdqp").coerce_settings(
-                service.settings)
-            return PDQPAccelerator(
-                self._problem, customization=artifact.customization,
-                settings=settings, compiled=artifact.compiled,
-                backend=service.backend, verify=False)
-        from ..hw.accelerator import RSQPAccelerator
-        return RSQPAccelerator(
-            self._problem, customization=artifact.customization,
-            settings=service.settings, pcg_eps=service.pcg_eps,
-            max_pcg_iter=artifact.max_pcg_iter,
-            compiled=artifact.compiled, backend=service.backend,
-            verify=False)
+        self._resident = bind_resident(problem, artifact, service.settings,
+                                       service.pcg_eps, service.backend)
 
     def _ensure_open(self) -> None:
-        if self._closed:
+        if self._resident is None:
             raise RuntimeError("session is closed")
 
     # ------------------------------------------------------------------
@@ -188,6 +168,11 @@ class SolverSession:
     def last(self) -> ServeResult | None:
         """The most recent :class:`ServeResult`, or None."""
         return self._last
+
+    @property
+    def _accelerator(self):
+        """The pinned accelerator (None once closed)."""
+        return self._resident.accelerator if self._resident else None
 
     # ------------------------------------------------------------------
     def update(self, *, q=None, l=None, u=None, P_data=None,
@@ -209,7 +194,7 @@ class SolverSession:
                              "q, l, u, P_data, A_data")
         problem = updated_problem(self._problem, q=q, l=l, u=u,
                                   P_data=P_data, A_data=A_data)
-        accelerator = self._accelerator
+        accelerator = self._resident.accelerator
         if self.algorithm == "pdqp":
             accelerator.refresh_numeric(problem,
                                         carry_omega=self.carry_state)
@@ -217,7 +202,7 @@ class SolverSession:
             accelerator.refresh_numeric(problem,
                                         carry_rho=self.carry_state)
         self._problem = problem
-        self._needs_download = False
+        self._resident.stale = False
         self.updates += 1
         self._service.metrics.counter(
             "serving_session_updates_total").inc()
@@ -229,8 +214,8 @@ class SolverSession:
 
         ``warm_start`` defaults to ``"auto"``: the previous solution's
         ``(x, y)`` when one exists, cold otherwise. Pass an explicit
-        ``(x0, y0)`` tuple or ``None`` to override. Runs under the
-        service's resilience policy — retries, host-side KKT re-check,
+        ``(x0, y0)`` tuple or ``None`` to override. Runs the service's
+        own resilience loop — retries, host-side KKT re-check,
         deadline enforcement and (when the policy allows) degradation
         to the reference solver all behave exactly like
         :meth:`SolverService.solve`.
@@ -255,23 +240,14 @@ class SolverSession:
 
         resil = {"retries": 0, "rollbacks": 0, "faults_injected": 0,
                  "degraded": False, "deadline_missed": False}
-        raw, resil = self._resolve_resilient(request_id, warm,
-                                             deadline_at, resil)
-        t_done = time.perf_counter()
-        if resil["degraded"]:
-            backend = "reference"
-            converged = raw.status.is_optimal
-            simulated_cycles = 0
-            simulated_seconds = 0.0
-            iterations = raw.info.iterations
-        else:
-            backend = "rsqp"
-            converged = raw.converged
-            simulated_cycles = raw.total_cycles
-            simulated_seconds = raw.solve_seconds
-            iterations = raw.admm_iterations
-
-        solve_seconds = t_done - submitted
+        raw, resil = service._solve_resilient(
+            request_id, self._problem, self.artifact, warm, deadline_at,
+            resil, resident=self._resident)
+        solve_seconds = time.perf_counter() - submitted
+        backend, simulated_cycles, simulated_seconds = answer_accounting(
+            raw, resil["degraded"])
+        converged = raw.converged
+        iterations = raw.iterations
         record = ServeRecord(
             request_id=request_id, problem_name=self._problem.name,
             fingerprint_key=self.fingerprint.key, c=self.c,
@@ -308,135 +284,13 @@ class SolverSession:
         self.resolves += 1
         return result
 
-    def _run_once(self, warm, injector, deadline_seconds):
-        """One accelerator attempt on the resident machine.
-
-        The stats reset plus conditional re-download restore the exact
-        fresh-accelerator preconditions: absolute cycle/iteration
-        accounting starts at zero and every HBM bank and scalar
-        register holds freshly downloaded data, so a session resolve
-        is bitwise the solve a new accelerator would produce for the
-        same data and warm start.
-        """
-        accelerator = self._accelerator
-        machine = accelerator.machine
-        machine.stats.reset()
-        if self._needs_download:
-            accelerator._download()
-        accelerator.fault_injector = injector
-        machine.injector = injector
-        accelerator.deadline_seconds = deadline_seconds
-        try:
-            if warm is not None:
-                x0, y0 = warm
-                accelerator.warm_start(x=x0, y=y0)
-            self._needs_download = True
-            return accelerator.run()
-        finally:
-            accelerator.fault_injector = None
-            machine.injector = None
-            accelerator.deadline_seconds = None
-
-    def _resolve_resilient(self, request_id, warm, deadline_at, resil):
-        """The session counterpart of ``SolverService._solve_resilient``.
-
-        Identical policy semantics (retry/backoff on detected faults,
-        KKT re-check against silent corruption, cooperative deadline,
-        degradation) — the only difference is that attempts re-run the
-        resident accelerator instead of constructing a fresh one.
-        """
-        service = self._service
-        res = service.resilience
-        plan = service.fault_plan
-        attempt = 0
-        last_exc: BaseException | None = None
-        while attempt <= res.max_retries:
-            remaining = None
-            if deadline_at is not None:
-                remaining = deadline_at - time.perf_counter()
-                if remaining <= 0:
-                    last_exc = DeadlineExceededError(
-                        f"session resolve {request_id} deadline expired "
-                        f"before attempt {attempt}")
-                    service._record_deadline_miss(deadline_at, resil)
-                    break
-            injector = (plan.injector_for(request_id, attempt)
-                        if plan is not None else None)
-            try:
-                raw = self._run_once(warm, injector, remaining)
-            except DeadlineExceededError as exc:
-                last_exc = exc
-                self._count_injected(injector, exc, resil)
-                service._record_deadline_miss(deadline_at, resil)
-                break
-            except (FaultDetectedError, SimulationError) as exc:
-                last_exc = exc
-                self._count_injected(injector, exc, resil)
-                attempt += 1
-                if attempt > res.max_retries:
-                    break
-                resil["retries"] += 1
-                service.metrics.counter("serving_retries_total").inc()
-                with service._lock:
-                    delay = res.backoff_seconds(attempt,
-                                                service._jitter_rng)
-                if remaining is not None:
-                    delay = min(delay, max(remaining, 0.0))
-                if delay > 0:
-                    time.sleep(delay)
-                continue
-            self._count_injected(injector, None, resil, raw=raw)
-            resil["rollbacks"] += raw.rollbacks
-            if raw.rollbacks:
-                service.metrics.counter(
-                    "serving_fault_rollbacks_total").inc(raw.rollbacks)
-            suspect = bool(raw.fault_events) or raw.rollbacks > 0
-            check = (res.check == "always"
-                     or (res.check == "auto" and suspect))
-            if (raw.converged and check
-                    and not solution_ok(
-                        self._problem, raw.x, raw.y, raw.z,
-                        eps_abs=service.settings.eps_abs,
-                        eps_rel=service.settings.eps_rel,
-                        factor=res.check_factor)):
-                last_exc = FaultDetectedError(
-                    f"session resolve {request_id} attempt {attempt}: "
-                    "solution failed the host-side KKT re-check",
-                    events=raw.fault_events)
-                service.metrics.counter(
-                    "serving_silent_corruption_total").inc()
-                attempt += 1
-                if attempt > res.max_retries:
-                    break
-                resil["retries"] += 1
-                service.metrics.counter("serving_retries_total").inc()
-                continue
-            return raw, resil
-        if not res.degrade:
-            assert last_exc is not None
-            raise last_exc
-        service.metrics.counter("serving_degraded_total").inc()
-        resil["degraded"] = True
-        raw = service._run_reference(self._problem, warm, self.algorithm)
-        return raw, resil
-
-    def _count_injected(self, injector, exc, resil, raw=None) -> None:
-        """Sessions always run in-process: read the injector directly."""
-        if injector is None:
-            return
-        fired = len(injector.events)
-        if fired:
-            resil["faults_injected"] += fired
-            self._service.metrics.counter(
-                "serving_faults_injected_total").inc(fired)
-
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the resident accelerator; idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        self._accelerator = None
+        """Check the pinned accelerator back in; idempotent. One whose
+        attempt ever raised is dropped instead."""
+        resident, self._resident = self._resident, None
+        if resident is not None and not resident.failed:
+            self.artifact.check_in(resident.key, resident)
 
     def __enter__(self) -> "SolverSession":
         return self
@@ -445,7 +299,7 @@ class SolverSession:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "closed" if self._closed else "open"
+        state = "closed" if self._resident is None else "open"
         return (f"SolverSession({self._problem.name!r}, "
                 f"algorithm={self.algorithm!r}, c={self.c}, "
                 f"updates={self.updates}, resolves={self.resolves}, "
